@@ -122,7 +122,8 @@ class Tracer:
 
     Disabled by default; :meth:`enable` starts a fresh epoch.  All event
     appends take a lock, which is uncontended in the single-threaded
-    simulator but keeps the tracer safe for host-threaded callers.
+    simulator but keeps the tracer safe for host-threaded callers; a
+    forked child always starts with the lock free.
     """
 
     def __init__(self, clock=time.perf_counter):
@@ -524,3 +525,12 @@ def timeline_to_chrome(timeline, cycles_per_us: float = CYCLES_PER_US,
 #: The process-wide tracer.  Instrumented call sites check
 #: ``TRACER.enabled`` (one attribute load) before doing any work.
 TRACER = Tracer()
+
+
+def _fresh_lock_in_child() -> None:
+    # A fork copies the lock in whatever state another thread held it;
+    # that thread does not exist in the child, so it would never be freed.
+    TRACER._lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_fresh_lock_in_child)

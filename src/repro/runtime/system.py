@@ -26,7 +26,13 @@ from ..forensics.explain import summarize_context
 from ..forensics.recorder import FlightRecorder
 from ..interp.errors import Misspeculation
 from ..interp.interpreter import Interpreter
-from ..interp.memory import AddressSpace, MemoryObject, PAGE_SIZE, heap_tag_of
+from ..interp.memory import (
+    TAG_SHIFT,
+    AddressSpace,
+    MemoryObject,
+    PAGE_SIZE,
+    heap_tag_of,
+)
 from ..ir.instructions import BinOpKind
 from ..obs.log import get_logger
 from ..obs.metrics import METRICS
@@ -63,6 +69,10 @@ SEPARATION_CHECK_COST = 2
 CHECKPOINT_PAGE_COST = 600
 CHECKPOINT_FIXED_COST = 1200
 CHECKPOINT_BYTE_COST = 1
+#: Extent of one logical heap: an offset from the private heap's base is
+#: inside that heap iff it is below this (the tag bits 44–46 are clear),
+#: the paper's "couple of bit operations" separation check.
+HEAP_SPAN = 1 << TAG_SHIFT
 
 
 class WorkerState:
@@ -197,7 +207,7 @@ class RuntimeSystem:
             return None
         addr, size = int(args[0]), int(args[1])
         offset = addr - self.private_base
-        if offset < 0:
+        if not 0 <= offset < HEAP_SPAN:
             raise Misspeculation(
                 "separation", f"private_read outside private heap 0x{addr:x}",
                 self.current_iteration)
@@ -217,7 +227,7 @@ class RuntimeSystem:
             return None
         addr, size = int(args[0]), int(args[1])
         offset = addr - self.private_base
-        if offset < 0:
+        if not 0 <= offset < HEAP_SPAN:
             raise Misspeculation(
                 "separation", f"private_write outside private heap 0x{addr:x}",
                 self.current_iteration)
@@ -403,7 +413,7 @@ class RuntimeSystem:
             gv = self.module.global_named(vp.obj_site[len("global:"):])
             addr = self.interp.global_addrs[gv] + vp.offset
             offset = addr - self.private_base
-            if offset >= 0:
+            if 0 <= offset < HEAP_SPAN:
                 worker.shadow.on_write(offset, vp.size, self._ts(), iteration)
                 worker.epoch_written_offsets.add_range(
                     offset, offset + vp.size)
@@ -541,7 +551,7 @@ class RuntimeSystem:
         dirty_pages = len({
             p for p in worker.space.dirty_pages
             if (p << 12) >= self.private_base
-            and (p << 12) < self.private_base + (1 << 44)
+            and (p << 12) < self.private_base + HEAP_SPAN
         })
         return redux_elements, dirty_pages
 

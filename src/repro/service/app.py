@@ -33,9 +33,10 @@ import os
 import tempfile
 import threading
 import time
+from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ..obs.history import HistorySampler, resolve_history_dir
 from ..obs.log import get_logger
@@ -63,6 +64,10 @@ DEFAULT_SERVE_PORT = 8517
 
 #: Submit bodies above this size are rejected outright (413).
 MAX_BODY_BYTES = 1 << 20
+
+#: Entries in a server's submit-time fingerprint memo; the least
+#: recently used entry is evicted first.
+FINGERPRINT_MEMO_SIZE = 256
 
 
 def resolve_serve_port(port: Optional[int] = None) -> int:
@@ -159,8 +164,32 @@ class ServiceApp:
         self._requested = (host, port)
         self._httpd: Optional[ThreadingHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
+        #: ``(name, source) -> fingerprint`` of sources that compiled, so
+        #: a resubmission skips the (deterministic) front end.
+        self.fingerprint_memo: OrderedDict[Tuple[str, str], str] = (
+            OrderedDict())
+        self._memo_lock = threading.Lock()
 
     # -- request handling --------------------------------------------------
+
+    def fingerprint(self, source: str, name: str) -> str:
+        """:func:`fingerprint_source` through the bounded memo.  Compile
+        errors propagate and are never stored, so a broken source is
+        rejected on every submit."""
+        key = (name, source)
+        with self._memo_lock:
+            found = self.fingerprint_memo.get(key)
+            if found is not None:
+                self.fingerprint_memo.move_to_end(key)
+                return found
+        # Compiled outside the lock: HTTP threads never queue behind a
+        # miss; two concurrent misses on one key store the same value.
+        fingerprint = fingerprint_source(source, name)
+        with self._memo_lock:
+            self.fingerprint_memo[key] = fingerprint
+            while len(self.fingerprint_memo) > FINGERPRINT_MEMO_SIZE:
+                self.fingerprint_memo.popitem(last=False)
+        return fingerprint
 
     def handle_submit(self, payload: object):
         """Validate + fingerprint a submit body and register the job.
@@ -176,7 +205,7 @@ class ServiceApp:
         except ValidationError as e:
             return 400, error_payload("invalid submission", e.errors), {}
         try:
-            fingerprint = fingerprint_source(spec.source, spec.name)
+            fingerprint = self.fingerprint(spec.source, spec.name)
         except Exception as e:  # noqa: BLE001 - guest compile errors
             return 400, error_payload(
                 f"source does not compile: {e}",

@@ -564,3 +564,48 @@ class TestPoolTelemetry:
         prog.execute(workers=2, backend="pool")
         assert not any(name.startswith("worker.")
                        for name in METRICS.snapshot())
+
+
+class TestForkSafety:
+    def test_tracer_lock_held_across_fork_does_not_wedge_workers(
+            self, monkeypatch):
+        """A pool forked while another thread holds the tracer lock (a
+        service HTTP thread recording a span) must not inherit it held:
+        the children would block on their first traced event."""
+        import threading
+
+        from repro.obs.trace import TRACER
+
+        real_fork = os.fork
+
+        def fork_while_lock_held():
+            held, release = threading.Event(), threading.Event()
+
+            def hold():
+                with TRACER._lock:
+                    held.set()
+                    release.wait()
+
+            holder = threading.Thread(target=hold, daemon=True)
+            holder.start()
+            held.wait()
+            pid = -1
+            try:
+                pid = real_fork()
+            finally:
+                if pid != 0:
+                    release.set()
+                    holder.join()
+            return pid
+
+        monkeypatch.setattr(pool_backend.os, "fork", fork_while_lock_held)
+        prog = prepared_counter_program(8)
+        TRACER.enable()
+        try:
+            ex = PoolDOALLExecutor(prog.module, prog.plan, workers=2,
+                                   epoch_timeout=3.0)
+            result = ex.run("main", prog.ref_args)
+        finally:
+            TRACER.disable()
+            TRACER.reset()
+        assert result.output == prog.sequential.output

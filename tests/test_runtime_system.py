@@ -153,3 +153,40 @@ class TestEndToEndRuntime:
         assert result.output == prog.sequential.output
         assert result.runtime_stats.invocations == 2
         assert result.runtime_stats.misspec_count() == 0
+
+
+class TestPrivateHeapExtent:
+    """The separation check bounds a private offset by the heap's extent:
+    an address in a higher-tagged heap is not a (huge) private offset."""
+
+    @pytest.fixture(scope="class")
+    def alvinn(self):
+        # With 2 epochs profiling selects the epoch loop, whose value
+        # predictions name globals outside the private heap.
+        from repro.bench.pipeline import prepare
+        from repro.workloads import BY_NAME
+
+        w = BY_NAME["alvinn"]
+        return prepare(w.source, "alvinn", args=(6, 2, 12345),
+                       use_cache=False)
+
+    @pytest.mark.parametrize("backend", ["simulated", "pool"])
+    def test_alvinn_two_epochs_matches_sequential(self, alvinn, backend):
+        result = alvinn.execute(workers=2, backend=backend)
+        assert result.output == alvinn.sequential.output
+        assert result.return_value == alvinn.sequential.return_value
+
+    @pytest.mark.parametrize("intrinsic", ["private_read", "private_write"])
+    def test_access_in_higher_heap_is_a_separation_misspec(self, harness,
+                                                           intrinsic):
+        from repro.interp import Interpreter
+        from repro.runtime.system import RuntimeSystem, WorkerState
+
+        interp = Interpreter(harness.module)
+        runtime = RuntimeSystem(harness.module, harness.plan, interp)
+        runtime.speculating = True
+        runtime.current_worker = WorkerState(0, interp.space, 64)
+        addr = HeapKind.REDUX.base + 8
+        with pytest.raises(Misspeculation) as info:
+            interp.intrinsics[intrinsic](interp, None, (addr, 4))
+        assert info.value.kind == "separation"

@@ -32,7 +32,9 @@ from repro.service import (
     fingerprint_source,
     parse_submit,
 )
+from repro.service import app as app_module
 from repro.service.app import (
+    FINGERPRINT_MEMO_SIZE,
     SERVE_PORT_ENV,
     SERVE_QUEUE_ENV,
     resolve_queue_depth,
@@ -254,6 +256,89 @@ class TestJobStore:
         payload = store.fingerprint_payload()
         assert payload["fingerprints"]["fp"]["jobs"] == 1
         assert payload["queue_capacity"] == store.queue_depth
+
+
+class TestFingerprintMemo:
+    """``POST /jobs`` compiles a source once per server, not per submit."""
+
+    @pytest.fixture
+    def service(self, tmp_path):
+        # Never started: handle_submit runs on the calling thread.
+        return ServiceApp(registry=MetricsRegistry(), tracer=Tracer(),
+                          spool_dir=str(tmp_path / "spool"))
+
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        calls = []
+
+        def counting(source, name):
+            calls.append((name, source))
+            return fingerprint_source(source, name)
+
+        monkeypatch.setattr(app_module, "fingerprint_source", counting)
+        return calls
+
+    @staticmethod
+    def _submit(service, **over):
+        payload = {"source": SRC, "name": "t", "args": [16]}
+        payload.update(over)
+        return service.handle_submit(payload)
+
+    def test_identical_submits_compile_once(self, service, compiles):
+        first = self._submit(service)
+        second = self._submit(service)
+        assert first[0] == second[0] == 202
+        assert len(compiles) == 1
+        fp = first[1]["job"]["fingerprint"]
+        assert second[1]["job"]["fingerprint"] == fp
+        assert fp == fingerprint_source(SRC, "t")
+
+    def test_same_source_under_another_name_is_its_own_entry(
+            self, service, compiles):
+        self._submit(service, name="a")
+        self._submit(service, name="b")
+        self._submit(service, name="a")
+        assert compiles == [("a", SRC), ("b", SRC)]
+        assert set(service.fingerprint_memo) == {("a", SRC), ("b", SRC)}
+
+    def test_compile_errors_are_never_memoized(self, service, compiles):
+        for _ in range(3):
+            status, body, _headers = self._submit(service,
+                                                  source="int main( {")
+            assert status == 400
+            assert "compile" in body["error"]
+        assert len(compiles) == 3
+        assert not service.fingerprint_memo
+
+    def test_memo_is_bounded_least_recently_used_first(self, service,
+                                                       monkeypatch):
+        calls = []
+
+        def fake(source, name):
+            calls.append(source)
+            return f"fp-{source}"
+
+        monkeypatch.setattr(app_module, "fingerprint_source", fake)
+        for i in range(FINGERPRINT_MEMO_SIZE):
+            service.fingerprint(f"s{i}", "n")
+        assert service.fingerprint("s0", "n") == "fp-s0"  # a hit
+        service.fingerprint(f"s{FINGERPRINT_MEMO_SIZE}", "n")
+        assert len(service.fingerprint_memo) == FINGERPRINT_MEMO_SIZE
+        assert ("n", "s0") in service.fingerprint_memo
+        assert ("n", "s1") not in service.fingerprint_memo
+        assert len(calls) == FINGERPRINT_MEMO_SIZE + 1
+
+    def test_traced_submit_still_bypasses_the_result_cache(
+            self, service, compiles):
+        self._submit(service)
+        [claimed] = service.store.take_queued()
+        service.store.finish(claimed, STATE_DONE,
+                             result={"output_matches": True})
+        status, body, _headers = self._submit(service)
+        assert status == 200 and body["job"]["cache_hit"]
+        status, body, _headers = self._submit(service, trace=True)
+        assert status == 202 and not body["job"]["cache_hit"]
+        assert len(compiles) == 1
 
 
 class TestServiceEndToEnd:
